@@ -91,8 +91,8 @@ def cmd_run(args) -> int:
     out = report.to_json()
     if args.output:
         Path(args.output).write_text(out + "\n")
-        if args.intervals_csv:
-            _write_intervals_csv(report, args.intervals_csv)
+    if args.intervals_csv:
+        _write_intervals_csv(report, args.intervals_csv)
     print(out)
     return 0
 

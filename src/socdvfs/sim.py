@@ -1,10 +1,16 @@
-"""Discrete-time simulation engine and the policy drivers.
+"""Simulation engine and the policy drivers.
 
-One run walks a trace in sample-period steps (1 ms by default), integrating
-power and work. Every evaluation interval (30 ms) the governor averages the
-counter window, decides a level, executes the transition flow if the level
-changed (charging its stall), re-splits the TDP between domains and picks
-compute P-states for the new budget.
+An engine pass walks a trace one evaluation interval (30 ms by default) at a
+time. At each interval start the governor averages the previous interval's
+counters, decides a level, executes the transition flow if the level
+changed, re-splits the TDP between domains and picks compute P-states.
+Within the interval nothing changes except at slice boundaries and where the
+transition's service gap ends (its total latency, with DRAM in self-refresh
+and no work done), so power, performance and counters are evaluated once per
+constant segment and multiplied by its duration, exactly for any slice
+length. Counters are averaged weighted by active time; with noise on, every
+sample period (1 ms by default) gets its own lognormal factor, drawn once per
+interval from (seed, interval index).
 
 Policies:
   baseline          pinned at the high point, fixed worst-case IO/mem budget
@@ -27,17 +33,19 @@ import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import accumulate
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import corpus as corpus_mod
 from .governor import (CalibrationError, Decision, DomainBudgets, InfeasibleTdpError,
-                       PowerToFreqMap, ThresholdSet, predict, project_perf_boost,
-                       redistribute_budget, select_compute_pstate)
+                       PowerToFreqMap, PstateChoice, ThresholdSet, predict,
+                       project_perf_boost, redistribute_budget, select_compute_pstate)
 from .power import (DRAM_ACTIVE_STATES, ActivitySample, PowerBreakdown,
                     PowerCoefficients, soc_power)
 from .soc import (OperatingPoint, SocConfig, mrc_lookup, operating_point,
                   with_compute)
-from .telemetry import PerfCounterSample, average_window, sample_counters
+from .telemetry import (PerfCounterSample, average_window, noisy_reading, period_noise,
+                        sample_counters)
 from .transition import SocState, execute_transition, plan_transition
 from .workload import TraceSlice, WorkloadTrace, relative_performance, static_demand
 
@@ -180,14 +188,58 @@ def build_activity(slice_: TraceSlice, point: OperatingPoint,
                           io_engine_activity=io_act, power_state=state)
 
 
-def _io_mem_power(point: OperatingPoint, slice_: TraceSlice, cfg: SocConfig,
-                  mrc_optimized: bool) -> PowerBreakdown:
-    act = build_activity(slice_, point, cfg)
-    return soc_power(point, act, cfg.power_coefficients, mrc_optimized)
+def _split_budget(cfg: SocConfig, policy: PolicyDesc, state: SocState,
+                  ref_op: OperatingPoint, slice_: TraceSlice,
+                  wl_class: str) -> Tuple[DomainBudgets, PstateChoice]:
+    """Re-split the TDP and choose compute P-states for a new interval."""
+    coef = cfg.power_coefficients
+    act = build_activity(slice_, state.point, cfg)
+    bd_high = soc_power(ref_op, build_activity(slice_, ref_op, cfg), coef, True)
+    bd_cur = soc_power(state.point, act, coef, state.mrc_optimized)
+    iomem_high = bd_high.io_domain + bd_high.memory_domain
+    iomem_cur = bd_cur.io_domain + bd_cur.memory_domain
+    # Without redistribution the compute domain keeps the worst-case
+    # (high-point) allocation even while the IO/memory domains idle low.
+    alloc_low = policy.redistribute and state.level < cfg.high_level
+    alloc_bd = bd_cur if alloc_low else bd_high
+    budgets = redistribute_budget(
+        cfg.tdp_watts, max(iomem_cur, iomem_high), min(iomem_cur, iomem_high),
+        Decision(target_level=0 if alloc_low else 1),
+        io_w=alloc_bd.io_domain, memory_w=alloc_bd.memory_domain)
+    choice = select_compute_pstate(
+        budgets.compute_w, act, coef, cfg.vf_curves["V_CORE"], cfg.vf_curves["V_GFX"],
+        cfg.core_max_freq, cfg.gfx_max_freq, workload_class=wl_class,
+        graphics_core_share=cfg.graphics_core_share)
+    return budgets, choice
+
+
+def _hold(acc: _RunAccum, bd: PowerBreakdown, ms: float, duty: float,
+          gfx_duty: float) -> Tuple[float, float]:
+    """Integrate a breakdown held constant for `ms` into the run totals.
+
+    Returns the (SoC, memory subsystem) energy in J for the interval log.
+    """
+    sec = ms / 1000.0
+    compute_w = bd.core * duty + bd.gfx * gfx_duty
+    soc_w = bd.memory_domain + bd.io_domain + compute_w
+    acc.energy_j += soc_w * sec
+    domains = acc.domain_energy
+    domains["memory_subsystem"] += bd.memory_subsystem * sec
+    domains["memory_domain"] += bd.memory_domain * sec
+    domains["io_domain"] += bd.io_domain * sec
+    domains["compute_domain"] += compute_w * sec
+    for rail, w in bd.per_rail().items():
+        if rail == "V_CORE":
+            w *= duty
+        elif rail == "V_GFX":
+            w *= gfx_duty
+        acc.rail_energy[rail] = acc.rail_energy.get(rail, 0.0) + w * sec
+    return soc_w * sec, bd.memory_subsystem * sec
 
 
 def _run(trace: WorkloadTrace, policy: PolicyDesc, cfg: SocConfig,
          thr: Optional[ThresholdSet], seed: int) -> _RunAccum:
+    """One engine pass of a policy over a trace."""
     acc = _RunAccum()
     if not trace.slices:
         return acc
@@ -206,177 +258,142 @@ def _run(trace: WorkloadTrace, policy: PolicyDesc, cfg: SocConfig,
     state = SocState(point=point, level=level, mrc_optimized=mrc_opt)
 
     ref_op = operating_point(cfg, high_level)
+    rails = {r.name: r for r in cfg.rails}
     coef = cfg.power_coefficients
-    core_curve = cfg.vf_curves["V_CORE"]
-    gfx_curve = cfg.vf_curves["V_GFX"]
-    core_pn = core_curve.max_freq_at_floor()
+    core_pn = cfg.vf_curves["V_CORE"].max_freq_at_floor()
+    sigma = cfg.counter_gains.noise_sigma
 
+    # An interval is a whole number of sample periods.
     dt_ms = cfg.sample_period_ms
-    samples_per_interval = max(1, round(cfg.evaluation_interval_ms / dt_ms))
-    n_steps = max(1, round(trace.duration_ms / dt_ms))
-    noise = cfg.counter_gains.noise_sigma > 0
+    periods = max(1, round(cfg.evaluation_interval_ms / dt_ms))
+    interval_ms = periods * dt_ms
+    ends = list(accumulate(s.duration_ms for s in trace.slices))
+    end_ms = ends[-1]
 
-    window: List[PerfCounterSample] = []
-    budgets: Optional[DomainBudgets] = None
-    choice = None
+    # Counter readings of the previous interval's active segments, weighted
+    # by the time each one covers.
+    samples: List[PerfCounterSample] = []
+    weights: List[float] = []
     dwell = cfg.min_dwell_intervals  # allow a switch at the first boundary
-    interval_acc = {"energy_j": 0.0, "mem_sub_j": 0.0, "ms": 0.0, "active_ms": 0.0}
-    interval_row: Optional[dict] = None
+    i = 0                            # slice cursor: first slice ending after the time
+    k = 0
+    t0 = 0.0
+    while t0 < end_ms:
+        while ends[i] <= t0:
+            i += 1
+        slice_ = trace.slices[i]
 
-    def flush_interval():
-        if interval_row is not None and interval_acc["ms"] > 0:
-            sec = interval_acc["ms"] / 1000.0
-            interval_row["energy_j"] = interval_acc["energy_j"]
-            interval_row["soc_w"] = interval_acc["energy_j"] / sec
-            interval_row["memory_subsystem_w"] = interval_acc["mem_sub_j"] / sec
-            interval_row["active_ms"] = interval_acc["active_ms"]
-            acc.intervals.append(interval_row)
-
-    def set_budgets(slice_: TraceSlice) -> None:
-        """Re-split the TDP and choose compute P-states for the new interval."""
-        nonlocal budgets, choice
-        bd_high = _io_mem_power(operating_point(cfg, high_level), slice_, cfg, True)
-        bd_cur = _io_mem_power(state.point, slice_, cfg, state.mrc_optimized)
-        iomem_high = bd_high.io_domain + bd_high.memory_domain
-        iomem_cur = bd_cur.io_domain + bd_cur.memory_domain
-        # Without redistribution the compute domain keeps the worst-case
-        # (high-point) allocation even while the IO/memory domains idle low.
-        alloc_low = policy.redistribute and state.level < high_level
-        alloc_bd = bd_cur if alloc_low else bd_high
-        budgets = redistribute_budget(
-            cfg.tdp_watts, max(iomem_cur, iomem_high), min(iomem_cur, iomem_high),
-            Decision(target_level=0 if alloc_low else 1),
-            io_w=alloc_bd.io_domain, memory_w=alloc_bd.memory_domain)
-        act = build_activity(slice_, state.point, cfg)
-        choice = select_compute_pstate(
-            budgets.compute_w, act, coef, core_curve, gfx_curve,
-            cfg.core_max_freq, cfg.gfx_max_freq,
-            workload_class=trace.wl_class,
-            graphics_core_share=cfg.graphics_core_share)
-
-    for step in range(n_steps):
-        t_ms = step * dt_ms
-        slice_ = trace.slice_at(t_ms)
-        boundary = step % samples_per_interval == 0
+        # Per-interval decision.
+        counters = average_window(samples, weights) if samples else PerfCounterSample()
+        transitioned = False
+        triggered: Sequence[str] = ()
         stall_us = 0.0
-
-        if boundary:
-            flush_interval()
-            interval_acc = {"energy_j": 0.0, "mem_sub_j": 0.0, "ms": 0.0, "active_ms": 0.0}
-            transitioned = False
-            triggered: Sequence[str] = ()
-            static_bw = static_demand(slice_.peripheral_config, cfg.static_demand_table)
-            if policy.pinned_level is None and window and \
-                    slice_.power_state in DRAM_ACTIVE_STATES:
-                avg = average_window(window)
-                decision = predict(avg, static_bw, thr, state.level, cfg.n_levels)
-                if decision.target_level != state.level and dwell >= cfg.min_dwell_intervals:
-                    target = _point_for_level(cfg, decision.target_level,
-                                              policy.full_ladder)
-                    plan = plan_transition(state.point, target, cfg.mrc_bank,
-                                           {r.name: r for r in cfg.rails},
-                                           reoptimize_mrc=policy.reoptimize_mrc)
-                    state, stall_us = execute_transition(plan, state, t_ms)
-                    if not policy.reoptimize_mrc:
-                        # Registers never move; they match only the boot (high) freq.
-                        state = SocState(state.point, state.level,
-                                         state.level == high_level)
-                    acc.transitions += 1
-                    acc.stall_us += stall_us
-                    transitioned = True
-                    dwell = 0
-                else:
-                    dwell += 1
-                triggered = sorted(decision.triggering_conditions)
-                counters = avg
+        static_bw = static_demand(slice_.peripheral_config, cfg.static_demand_table)
+        if policy.pinned_level is None and samples and \
+                slice_.power_state in DRAM_ACTIVE_STATES:
+            decision = predict(counters, static_bw, thr, state.level, cfg.n_levels)
+            if decision.target_level != state.level and dwell >= cfg.min_dwell_intervals:
+                target = _point_for_level(cfg, decision.target_level, policy.full_ladder)
+                plan = plan_transition(state.point, target, cfg.mrc_bank, rails,
+                                       reoptimize_mrc=policy.reoptimize_mrc)
+                state, stall_us = execute_transition(plan, state, t0)
+                if not policy.reoptimize_mrc:
+                    # Registers never move; they match only the boot (high) freq.
+                    state = SocState(state.point, state.level, state.level == high_level)
+                acc.transitions += 1
+                acc.stall_us += stall_us
+                transitioned = True
+                dwell = 0
             else:
                 dwell += 1
-                counters = average_window(window) if window else PerfCounterSample()
-            window = []
-            set_budgets(slice_)
-            interval_row = {
-                "t_ms": t_ms, "level": state.level,
-                "power_state": slice_.power_state,
-                "static_bw_gbps": static_bw,
-                "counters": {"gfx": counters.gfx_llc_misses,
-                             "core": counters.llc_occupancy_tracer,
-                             "lat": counters.llc_stalls,
-                             "io": counters.io_rpq},
-                "triggered": list(triggered),
-                "transitioned": transitioned,
-                "stall_us": stall_us,
-                "budgets": {"compute_w": budgets.compute_w,
-                            "io_w": budgets.io_w,
-                            "memory_w": budgets.memory_w},
-                "mrc_optimized": state.mrc_optimized,
-                "core_freq": choice.core_freq, "gfx_freq": choice.gfx_freq,
-                "duty": choice.duty_cycle,
-            }
+            triggered = sorted(decision.triggering_conditions)
+        else:
+            dwell += 1
+        budgets, choice = _split_budget(cfg, policy, state, ref_op, slice_, trace.wl_class)
+        row = {
+            "t_ms": t0, "level": state.level,
+            "power_state": slice_.power_state,
+            "static_bw_gbps": static_bw,
+            "counters": {"gfx": counters.gfx_llc_misses,
+                         "core": counters.llc_occupancy_tracer,
+                         "lat": counters.llc_stalls,
+                         "io": counters.io_rpq},
+            "triggered": list(triggered),
+            "transitioned": transitioned,
+            "stall_us": stall_us,
+            "budgets": {"compute_w": budgets.compute_w,
+                        "io_w": budgets.io_w,
+                        "memory_w": budgets.memory_w},
+            "mrc_optimized": state.mrc_optimized,
+            "core_freq": choice.core_freq, "gfx_freq": choice.gfx_freq,
+            "duty": choice.duty_cycle,
+        }
 
-        if slice_.power_state in DRAM_ACTIVE_STATES:
-            window.append(sample_counters(
-                slice_, state.point, cfg, timestamp=t_ms,
-                noise_seed=(seed * 1_000_003 + step) if noise else None))
-
-        # Effective compute clocks for this interval's choice.
-        core_f = choice.core_freq
-        if policy.coordinate_compute and \
-                slice_.frac_compute < cfg.coscale_compute_bound:
-            core_f = min(core_f, core_pn)
-        eff_core = choice.duty_cycle * core_f
-        run_op = with_compute(cfg, state.point, core_f, choice.gfx_freq)
-
-        act = build_activity(slice_, run_op, cfg)
-        bd = soc_power(run_op, act, coef, state.mrc_optimized)
+        # Integration over [t0, t1), one constant segment at a time: a slice
+        # piece, split where the transition's memory-service gap ends.
+        t1 = min((k + 1) * interval_ms, end_ms)
+        noise = period_noise(sigma, seed, k, periods) if sigma > 0 else None
         # Graphics-class duty gates only the cores; otherwise the domain.
-        gfx_duty = 1.0 if trace.wl_class == "graphics" else choice.duty_cycle
-        compute_w = bd.core * choice.duty_cycle + bd.gfx * gfx_duty
-        mem_sub_w = bd.memory_subsystem
-        total_w = bd.memory_domain + bd.io_domain + compute_w
-        if stall_us > 0:
-            # Memory service gap: the blocked window contributes refresh-only
-            # DRAM power and no useful work.
-            w = min(1.0, stall_us / (dt_ms * 1000.0))
-            gap_mem = coef.p_refresh
-            total_w += (gap_mem - bd.memory_subsystem) * w
-            mem_sub_w += (gap_mem - bd.memory_subsystem) * w
+        duty = choice.duty_cycle
+        gfx_duty = 1.0 if trace.wl_class == "graphics" else duty
+        gap_left = stall_us / 1000.0
+        samples, weights = [], []
+        energy_j = mem_sub_j = active_ms = 0.0
+        a = t0
+        while a < t1:
+            while ends[i] <= a:
+                i += 1
+            s = trace.slices[i]
+            b = min(ends[i], t1)
+            ms = b - a
+            gap = min(ms, gap_left)
+            gap_left -= gap
 
-        dt_s = dt_ms / 1000.0
-        step_energy = total_w * dt_s
-        acc.energy_j += step_energy
-        acc.domain_energy["memory_subsystem"] += mem_sub_w * dt_s
-        acc.domain_energy["memory_domain"] += (bd.memory_domain
-                                               + (mem_sub_w - bd.memory_subsystem)) * dt_s
-        acc.domain_energy["io_domain"] += bd.io_domain * dt_s
-        acc.domain_energy["compute_domain"] += compute_w * dt_s
-        for rail, w_ in bd.per_rail().items():
-            if rail == "V_CORE":
-                w_ *= choice.duty_cycle
-            elif rail == "V_GFX":
-                w_ *= gfx_duty
-            acc.rail_energy[rail] = acc.rail_energy.get(rail, 0.0) + w_ * dt_s
-        acc.cstate_ms[slice_.power_state] = \
-            acc.cstate_ms.get(slice_.power_state, 0.0) + dt_ms
+            core_f = choice.core_freq
+            if policy.coordinate_compute and s.frac_compute < cfg.coscale_compute_bound:
+                core_f = min(core_f, core_pn)
+            run_op = with_compute(cfg, state.point, core_f, choice.gfx_freq)
+            bd = soc_power(run_op, build_activity(s, run_op, cfg), coef, state.mrc_optimized)
+            e, m = _hold(acc, bd, ms - gap, duty, gfx_duty)
+            energy_j += e
+            mem_sub_j += m
+            if gap > 0:
+                # Service gap: DRAM in self-refresh draws only its refresh
+                # floor on VDDQ, and no work is done.
+                e, m = _hold(acc, dataclasses.replace(
+                    bd, dram_background=coef.p_refresh, dram_array=0.0,
+                    termination=0.0, ddrio=0.0), gap, duty, gfx_duty)
+                energy_j += e
+                mem_sub_j += m
+            acc.cstate_ms[s.power_state] = acc.cstate_ms.get(s.power_state, 0.0) + ms
 
-        if slice_.power_state == "C0":
-            work_op = with_compute(cfg, state.point, max(eff_core, 1e-9),
-                                   gfx_duty * choice.gfx_freq)
-            index = relative_performance(slice_, work_op, ref_op,
-                                         mrc_optimized=state.mrc_optimized,
-                                         model=cfg.perf_model)
-            useful_ms = dt_ms - stall_us / 1000.0
-            acc.work += useful_ms * index
-            acc.c0_work_ms += dt_ms
-            acc.core_freq_ms += eff_core * dt_ms
-            acc.gfx_freq_ms += gfx_duty * choice.gfx_freq * dt_ms
+            if s.power_state in DRAM_ACTIVE_STATES:
+                active_ms += ms
+                sample = sample_counters(s, state.point, cfg, timestamp=b)
+                if noise is not None:
+                    sample = noisy_reading(sample, noise, a - t0, b - t0, dt_ms)
+                samples.append(sample)
+                weights.append(ms)
 
-        interval_acc["energy_j"] += step_energy
-        interval_acc["mem_sub_j"] += mem_sub_w * dt_s
-        interval_acc["ms"] += dt_ms
-        if slice_.power_state in DRAM_ACTIVE_STATES:
-            interval_acc["active_ms"] += dt_ms
+            if s.power_state == "C0":
+                eff_core = duty * core_f
+                work_op = with_compute(cfg, state.point, max(eff_core, 1e-9),
+                                       gfx_duty * choice.gfx_freq)
+                index = relative_performance(s, work_op, ref_op,
+                                             mrc_optimized=state.mrc_optimized,
+                                             model=cfg.perf_model)
+                acc.work += (ms - gap) * index
+                acc.c0_work_ms += ms
+                acc.core_freq_ms += eff_core * ms
+                acc.gfx_freq_ms += gfx_duty * choice.gfx_freq * ms
+            a = b
 
-    flush_interval()
+        sec = (t1 - t0) / 1000.0
+        row.update(energy_j=energy_j, soc_w=energy_j / sec,
+                   memory_subsystem_w=mem_sub_j / sec, active_ms=active_ms)
+        acc.intervals.append(row)
+        k += 1
+        t0 = k * interval_ms
     return acc
 
 
@@ -421,25 +438,31 @@ def _report_from(trace: WorkloadTrace, policy: PolicyDesc, cfg: SocConfig,
 
 
 def simulate(trace: WorkloadTrace, policy: str, cfg: SocConfig,
-             thr: Optional[ThresholdSet] = None, seed: int = 0) -> SimReport:
+             thr: Optional[ThresholdSet] = None, seed: int = 0, *,
+             _baseline: Optional[_RunAccum] = None) -> SimReport:
     """Run one policy over a trace; deterministic for a fixed seed.
 
-    The performance ratio is measured against an internal baseline run of
-    the same trace (1.0 for the baseline itself, and for an empty trace).
+    The performance ratio is measured against a baseline pass over the same
+    trace (1.0 for the baseline itself, and for an empty trace). `_baseline`
+    is private to this module: a baseline pass of the same trace, config,
+    thresholds and seed, reused instead of running another.
     """
     desc = policy_by_name(policy)
-    acc = _run(trace, desc, cfg, thr, seed)
-    base = None
-    if desc.name != "baseline":
-        base = _run(trace, POLICIES["baseline"], cfg, thr, seed)
-    return _report_from(trace, desc, cfg, seed, acc, base)
+    base = _baseline if _baseline is not None else \
+        _run(trace, POLICIES["baseline"], cfg, thr, seed)
+    if desc.name == "baseline":
+        return _report_from(trace, desc, cfg, seed, base, None)
+    return _report_from(trace, desc, cfg, seed, _run(trace, desc, cfg, thr, seed), base)
 
 
 def compare_policies(trace: WorkloadTrace, cfg: SocConfig,
                      thr: Optional[ThresholdSet],
                      policies: Sequence[str], seed: int = 0) -> Dict[str, SimReport]:
-    """Run several policies on the identical trace and seed."""
-    return {name: simulate(trace, name, cfg, thr, seed) for name in policies}
+    """Run several policies on the identical trace and seed, sharing one
+    baseline pass between them."""
+    base = _run(trace, POLICIES["baseline"], cfg, thr, seed) if policies else None
+    return {name: simulate(trace, name, cfg, thr, seed, _baseline=base)
+            for name in policies}
 
 
 def comparison_table(reports: Mapping[str, SimReport]) -> str:
@@ -487,9 +510,8 @@ STRUCTURAL_TARGETS = ("mc_dynamic_scale", "mrc_power_penalty")
 
 
 def _memlight_reduction(cfg: SocConfig, trace: WorkloadTrace) -> float:
-    base = simulate(trace, "baseline", cfg)
-    low = simulate(trace, "md-dvfs", cfg)
-    return 1.0 - low.avg_power_w["soc"] / base.avg_power_w["soc"]
+    r = compare_policies(trace, cfg, None, ("baseline", "md-dvfs"))
+    return 1.0 - r["md-dvfs"].avg_power_w["soc"] / r["baseline"].avg_power_w["soc"]
 
 
 def _mc_dynamic_scale(cfg: SocConfig) -> float:

@@ -5,7 +5,8 @@ The governor watches one counter per demand source: graphics LLC misses
 memory controller, i.e. core bandwidth pressure), LLC stall events (memory
 latency sensitivity) and IO read-pending-queue occupancy (IO pressure).
 Counters are deterministic functions of the active slice and operating
-point; optional lognormal noise exists for robustness experiments.
+point. For robustness experiments the engine can scale each sample period's
+reading by lognormal noise, drawn here one evaluation interval at a time.
 """
 
 from __future__ import annotations
@@ -36,42 +37,61 @@ class PerfCounterSample:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 
-    def scaled(self, factor: float) -> "PerfCounterSample":
-        return PerfCounterSample(*(getattr(self, f) * factor for f in COUNTER_FIELDS),
-                                 timestamp=self.timestamp)
-
 
 def sample_counters(slice_: TraceSlice, op: OperatingPoint, cfg: SocConfig,
-                    timestamp: float = 0.0,
-                    noise_seed: Optional[int] = None) -> PerfCounterSample:
-    """One counter reading for a slice at an operating point.
+                    timestamp: float = 0.0) -> PerfCounterSample:
+    """One noise-free counter reading for a slice at an operating point.
 
     Occupancy and IO pressure rise as demand approaches the point's capacity,
-    so the same workload reads hotter at a slower point. Noise (sigma from
-    the config's counter gains) is applied only when a seed is given.
+    so the same workload reads hotter at a slower point.
     """
     g = cfg.counter_gains
     peak = cfg.peak_bandwidth(op.dram_freq)
     io_cap = cfg.io_capacity(op.io_interconnect_freq)
     lat = cfg.memory_latency_ns(op)
-    values = np.array([
+    return PerfCounterSample(
         g.gfx_events_per_gbps * slice_.gfx_bw_demand,
         g.occupancy_at_full_util * slice_.core_bw_demand / peak,
         g.stall_events_per_latency * slice_.frac_mem_latency * lat,
         g.io_rpq_at_full_util * slice_.io_bw_demand / io_cap,
-    ])
-    if noise_seed is not None and g.noise_sigma > 0:
-        rng = np.random.default_rng(noise_seed)
-        values = values * rng.lognormal(0.0, g.noise_sigma, len(values))
-    return PerfCounterSample(*map(float, values), timestamp=timestamp)
+        timestamp=timestamp)
 
 
-def average_window(samples: Sequence[PerfCounterSample]) -> PerfCounterSample:
-    """Field-wise mean over an evaluation window; timestamp of the last sample."""
+def average_window(samples: Sequence[PerfCounterSample],
+                   weights: Optional[Sequence[float]] = None) -> PerfCounterSample:
+    """Field-wise mean over an evaluation window; timestamp of the last sample.
+
+    `weights` holds the time each reading covers; without them every sample
+    counts the same.
+    """
     if not samples:
         raise ValueError("cannot average an empty sample window")
-    means = [sum(getattr(s, f) for s in samples) / len(samples) for f in COUNTER_FIELDS]
+    if weights is None:
+        weights = [1.0] * len(samples)
+    total = sum(weights)
+    means = [sum(w * getattr(s, f) for s, w in zip(samples, weights, strict=True)) / total
+             for f in COUNTER_FIELDS]
     return PerfCounterSample(*means, timestamp=samples[-1].timestamp)
+
+
+def period_noise(sigma: float, seed: int, interval: int, periods: int) -> np.ndarray:
+    """Lognormal noise factors for one evaluation interval: a row per sample
+    period and a column per counter, from one draw seeded by (seed, interval)."""
+    rng = np.random.default_rng((seed, interval))
+    return rng.lognormal(0.0, sigma, (periods, len(COUNTER_FIELDS)))
+
+
+def noisy_reading(sample: PerfCounterSample, factors: np.ndarray, start_ms: float,
+                  end_ms: float, period_ms: float) -> PerfCounterSample:
+    """A reading held over [start_ms, end_ms) of its interval, scaled by the
+    factors of the sample periods it overlaps, weighted by the overlap."""
+    edges = period_ms * np.arange(len(factors) + 1)
+    cover = np.clip(np.minimum(end_ms, edges[1:]) - np.maximum(start_ms, edges[:-1]),
+                    0.0, None)
+    scale = cover @ factors / (end_ms - start_ms)
+    return PerfCounterSample(*(getattr(sample, f) * float(x)
+                               for f, x in zip(COUNTER_FIELDS, scale)),
+                             timestamp=sample.timestamp)
 
 
 def write_counters_csv(samples: Sequence[PerfCounterSample], path) -> None:

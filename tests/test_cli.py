@@ -74,6 +74,16 @@ def test_run_writes_report(cfg_file, trace_file, thr_file, tmp_path, capsys):
     assert (tmp_path / "iv.csv").read_text().count("\n") == len(report["intervals"]) + 1
 
 
+def test_run_writes_intervals_csv_without_output_file(cfg_file, trace_file, thr_file,
+                                                      tmp_path, capsys):
+    csv_path = tmp_path / "iv.csv"
+    rc = main(["run", str(trace_file), "--cfg", str(cfg_file), "--thr", str(thr_file),
+               "--intervals-csv", str(csv_path)])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    assert csv_path.read_text().count("\n") == len(report["intervals"]) + 1
+
+
 def test_compare_prints_table(cfg_file, trace_file, thr_file, capsys):
     rc = main(["compare", str(trace_file), "--cfg", str(cfg_file),
                "--thr", str(thr_file),

@@ -1,9 +1,8 @@
-import dataclasses
-
+import numpy as np
 import pytest
 
-from socdvfs.telemetry import (PerfCounterSample, average_window,
-                               read_counters_csv, sample_counters,
+from socdvfs.telemetry import (PerfCounterSample, average_window, noisy_reading,
+                               period_noise, read_counters_csv, sample_counters,
                                write_counters_csv)
 from socdvfs.workload import TraceSlice
 
@@ -52,15 +51,22 @@ def test_sampling_deterministic_without_noise(cfg, high_point):
     assert sample_counters(s, high_point, cfg) == sample_counters(s, high_point, cfg)
 
 
-def test_noise_reproducible_per_seed(cfg, high_point):
-    noisy_cfg = cfg.replace(counter_gains=dataclasses.replace(
-        cfg.counter_gains, noise_sigma=0.2))
-    s = _slice(core=3.0, gfx=1.0, io=0.4, frac_lat=0.05)
-    a = sample_counters(s, high_point, noisy_cfg, noise_seed=11)
-    b = sample_counters(s, high_point, noisy_cfg, noise_seed=11)
-    c = sample_counters(s, high_point, noisy_cfg, noise_seed=12)
-    assert a == b
-    assert a != c
+def test_noise_reproducible_per_seed():
+    a = period_noise(0.2, seed=11, interval=3, periods=30)
+    b = period_noise(0.2, seed=11, interval=3, periods=30)
+    c = period_noise(0.2, seed=12, interval=3, periods=30)
+    d = period_noise(0.2, seed=11, interval=4, periods=30)
+    assert a.shape == (30, 4)
+    assert (a == b).all()
+    assert (a != c).all() and (a != d).all()
+
+
+def test_noisy_reading_weights_periods_by_overlap():
+    # [0.5, 2.5) covers half of period 0, all of period 1, half of period 2.
+    s = PerfCounterSample(1.0, 2.0, 3.0, 4.0, timestamp=2.5)
+    factors = np.repeat([[1.0], [2.0], [3.0]], 4, axis=1)
+    assert noisy_reading(s, factors, 0.5, 2.5, 1.0) == \
+        PerfCounterSample(2.0, 4.0, 6.0, 8.0, timestamp=2.5)
 
 
 def test_average_window_mean_and_timestamp():
